@@ -3,75 +3,26 @@
 
 The paper's opening motivation: ATM-class LANs "will supply quality of
 service guarantees for connections.  Parallel programs may be able to
-benefit from such guarantees."  This example runs 2DFFT under a
-link-saturating UDP flood on three networks — the paper's shared
-Ethernet, a best-effort switch, and the same switch with per-flow
-token-bucket reservations — and shows the reservation holding the
-program's burst interval steady.
+benefit from such guarantees."  This example runs the ``abl-switched``
+ablation: 2DFFT under a link-saturating UDP flood on three networks —
+the paper's shared Ethernet, a best-effort switch, and the same switch
+with per-flow token-bucket reservations — and shows the reservation
+holding the program's burst interval steady.
 
 Run:  python examples/switched_qos.py
 """
 
-from repro.fx import FxCluster, FxRuntime
-from repro.harness import format_table
-from repro.programs import make_program, work_model_for
-
-VICTIMS = [0, 1, 2, 3]
-ITERS = 6
-
-
-def flood(cluster, src_host, dst_host):
-    """Saturate dst_host's link with best-effort UDP."""
-    sock = cluster.stacks[src_host].udp_socket()
-
-    def pump(sim):
-        while True:
-            sock.sendto(1472, dst_host=dst_host, dst_port=9)
-            yield sim.timeout(1472 * 8 / 10e6)
-
-    cluster.sim.process(pump(cluster.sim))
-
-
-def run(medium: str, with_flood: bool, with_reservation: bool):
-    cluster = FxCluster(n_machines=9, seed=0, medium=medium)
-    if with_reservation:
-        for s in VICTIMS:
-            for d in VICTIMS:
-                if s != d:
-                    cluster.bus.reserve(s, d, rate_bps=3e6)
-    runtime = FxRuntime(cluster, 4, work_model_for("2dfft", 0),
-                        machines=VICTIMS)
-    procs = runtime.launch(make_program("2dfft"), iterations=ITERS)
-    if with_flood:
-        for i, victim in enumerate(VICTIMS):
-            flood(cluster, 4 + i, victim)
-    cluster.sim.run(until=cluster.sim.all_of(procs))
-    victim_trace = cluster.trace().subset(VICTIMS)
-    return victim_trace.duration / (ITERS - 1)
+from repro.harness.ablations import abl_switched
 
 
 def main():
     print("Running 2DFFT under a link-saturating UDP flood on three "
           "networks...\n(each scenario simulates a full 6-iteration run)\n")
-    scenarios = [
-        ("shared Ethernet, quiet", "ethernet", False, False),
-        ("shared Ethernet + flood", "ethernet", True, False),
-        ("switched LAN + flood, best-effort", "switched", True, False),
-        ("switched LAN + flood, 3 Mb/s reserved per flow", "switched", True, True),
-    ]
-    rows = []
-    for label, medium, fl, res in scenarios:
-        period = run(medium, fl, res)
-        rows.append((label, round(period, 2)))
-        print(f"  done: {label}")
+    art = abl_switched(seed=0)
+    print(art.tables["scenarios"])
     print()
-    print(
-        format_table(
-            ["Scenario", "2DFFT iteration period (s)"],
-            rows,
-            "The paper's QoS vision, realized",
-        )
-    )
+    for name, ok in sorted(art.checks.items()):
+        print(f"  {'PASS' if ok else 'FAIL'}  {name}")
     print(
         "\nOn the shared medium the flood starves the program; a plain\n"
         "switch helps but best-effort queueing still inflates the burst\n"

@@ -61,7 +61,6 @@ import json
 import os
 import sys
 
-from .des.queues import QUEUES
 from .harness import ABLATIONS, EXPERIMENTS, export_artifact
 
 ALL_RUNNERS = {**EXPERIMENTS, **ABLATIONS}
@@ -139,15 +138,6 @@ def _apply_sanitize(args) -> None:
         args.no_cache = True
 
 
-def _apply_queue(args) -> None:
-    """Honor ``--queue``: every simulator this process builds uses the
-    named future-event queue (all queues pop in the same ``(time, seq)``
-    order, so traces are byte-identical either way)."""
-    queue = getattr(args, "queue", None)
-    if queue:
-        os.environ["REPRO_QUEUE"] = queue
-
-
 def _apply_telemetry(args) -> None:
     """Honor ``--telemetry`` (and the ``REPRO_TELEMETRY`` environment):
     attach the process-wide telemetry instance to every simulator this
@@ -184,7 +174,6 @@ def _cmd_run(args) -> int:
         return 2
     _parse_faults(args)
     _apply_sanitize(args)
-    _apply_queue(args)
     _apply_telemetry(args)
     if not args.no_cache:
         _store(args)
@@ -196,7 +185,6 @@ def _cmd_run(args) -> int:
 def _cmd_all(args) -> int:
     _parse_faults(args)
     _apply_sanitize(args)
-    _apply_queue(args)
     _apply_telemetry(args)
     if not args.no_cache:
         _store(args)
@@ -539,7 +527,6 @@ def _cmd_trace(args) -> int:
         return 2
     plan = _parse_faults(args)
     _apply_sanitize(args)
-    _apply_queue(args)
     _apply_telemetry(args)
     route = getattr(args, "route", "direct")
     detail: dict = {}
@@ -868,10 +855,6 @@ def main(argv=None) -> int:
                        help="collect telemetry counters/spans and print "
                             "a summary (implies --no-cache; traces stay "
                             "byte-identical)")
-        p.add_argument("--queue", choices=sorted(QUEUES), default=None,
-                       help="future-event queue for every simulator "
-                            "(default: calendar, or REPRO_QUEUE; traces "
-                            "are byte-identical either way)")
 
     p_run = sub.add_parser("run", help="run one experiment")
     p_run.add_argument("experiment")
@@ -897,7 +880,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="sweep a program/scale/seed/faults/queue grid through the "
+        help="sweep a program/scale/seed/route/faults grid through the "
              "trace cache (or submit/status/fetch async jobs)",
     )
     p_sweep.add_argument(

@@ -10,6 +10,7 @@ in the test suite exactly reproducible.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, List, Optional
 
 from .errors import SimulationError
@@ -133,7 +134,7 @@ class Timeout(Event):
             sim._ready.append(self)
         else:
             sim._seq = seq = sim._seq + 1
-            sim._push(time, seq, self)
+            heappush(sim._heap, (time, seq, self))
 
 
 class _Condition(Event):

@@ -10,12 +10,10 @@ spectra, tables) is exactly repeatable given the same seeds:
   list.  Appending in schedule order *is* the ``(time, seq)`` order at
   the current instant, so the hot 60% of schedules cost one list append
   instead of a heap push, and the run loop drains a same-instant batch
-  without touching the future-event queue at all.
-* **Future events** go to a pluggable queue (:mod:`repro.des.queues`):
-  the calendar queue by default, or the reference binary heap —
-  selected via ``Simulator(queue=...)`` or the ``REPRO_QUEUE``
-  environment variable.  Queues return whole time batches, which the
-  loop feeds back through the ready list.
+  without touching the future-event heap at all.
+* **Future events** go onto one binary heap of ``(time, seq, entry)``
+  triples (the C ``heapq``).  The run loop pops a whole time batch at
+  a time and feeds it back through the ready list.
 
 The sanitizer/telemetry observer checks are hoisted out of the inner
 loop: :meth:`run` dispatches once to a tight unobserved loop or to the
@@ -26,14 +24,16 @@ observability hooks (``repro profile`` documents the budget).
 from __future__ import annotations
 
 import os
+from heapq import heappop, heappush
 from typing import Any, Generator, Iterable, Optional
 
 from .errors import EmptySchedule, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Event, Timeout, PROCESSED
 from .process import Process, _Resume
-from .queues import make_queue
 
 __all__ = ["Simulator"]
+
+_INF = float("inf")
 
 
 def _env_flag(name: str) -> bool:
@@ -76,22 +76,14 @@ class Simulator:
         path attaches the *process-wide* instance so counters aggregate
         across runs.  Telemetry observes only — instrumented runs are
         byte-identical to uninstrumented ones.
-    queue:
-        The future-event set: a queue instance, class, or name
-        (``"calendar"``/``"heap"``, see :mod:`repro.des.queues`).
-        ``None`` defers to ``REPRO_QUEUE`` and defaults to the calendar
-        queue.  Every queue preserves the ``(time, seq)`` pop order
-        exactly, so the choice affects speed only, never the trace.
     """
 
     def __init__(self, strict: bool = True, sanitize: Optional[bool] = None,
-                 telemetry=None, queue=None):
+                 telemetry=None):
         self._now: float = 0.0
-        self._queue = make_queue(queue)
-        #: ``self._queue.push`` bound once — every future-event schedule
-        #: (sleeps, timeouts, ``_enqueue``) goes through it, and the
-        #: attribute hop + method bind per push is measurable there.
-        self._push = self._queue.push
+        #: Future events: a heap of ``(time, seq, entry)``.  ``seq`` is
+        #: unique, so entries themselves are never compared.
+        self._heap: list = []
         #: Same-instant FIFO: entries fire at ``_ready_time`` in list order.
         self._ready: list = []
         self._ready_time: float = 0.0
@@ -132,9 +124,10 @@ class Simulator:
         return self._active_process
 
     @property
-    def queue(self):
-        """The future-event queue instance (see :mod:`repro.des.queues`)."""
-        return self._queue
+    def queue(self) -> list:
+        """The future-event heap of ``(time, seq, entry)`` triples (read
+        only: schedule through events, never by pushing here)."""
+        return self._heap
 
     # -- event factories ----------------------------------------------
     def event(self) -> Event:
@@ -163,10 +156,10 @@ class Simulator:
         now.
 
         Same-instant events append to the ready FIFO (schedule order is
-        ``(time, seq)`` order at one instant); future events go to the
-        queue with the next sequence number.  A past time (possible only
+        ``(time, seq)`` order at one instant); future events go on the
+        heap with the next sequence number.  A past time (possible only
         by deliberate misuse — ``Timeout`` guards against negative
-        delays) also goes to the queue, where the next pop surfaces it
+        delays) also goes on the heap, where the next pop surfaces it
         to the sanitizer's causality check.
         """
         time = self._now + delay
@@ -174,7 +167,7 @@ class Simulator:
             self._ready.append(event)
         else:
             self._seq = seq = self._seq + 1
-            self._push(time, seq, event)
+            heappush(self._heap, (time, seq, event))
 
     def schedule_at(self, time: float, value: Any = None) -> Event:
         """An event that fires at absolute simulation time ``time``."""
@@ -187,16 +180,21 @@ class Simulator:
         """Time of the next event, or ``inf`` if none remain."""
         if self._ready:
             return self._ready_time
-        return self._queue.peek_time()
+        return self._heap[0][0] if self._heap else _INF
 
     def step(self) -> None:
         """Process exactly one event (the reference path; :meth:`run`
         uses the batched loop)."""
         ready = self._ready
         if not ready:
-            if not len(self._queue):
+            heap = self._heap
+            if not heap:
                 raise EmptySchedule("no scheduled events")
-            self._ready_time = self._queue.pop_batch(ready)
+            time, _seq, entry = heappop(heap)
+            ready.append(entry)
+            while heap and heap[0][0] == time:
+                ready.append(heappop(heap)[2])
+            self._ready_time = time
         entry = ready.pop(0)
         time = self._ready_time
         if self.sanitizer is not None:
@@ -209,9 +207,7 @@ class Simulator:
     def _run_fast(self) -> None:
         """The unobserved inner loop: drain ready batches until empty."""
         ready = self._ready
-        queue = self._queue
-        pop_batch = queue.pop_batch
-        qlen = queue.__len__
+        heap = self._heap
         try:
             while True:
                 # C-level iteration: callbacks append to ``ready`` while
@@ -220,10 +216,10 @@ class Simulator:
                 # bounds probe per event.
                 for entry in ready:
                     # Dispatch inlined: exactly ``entry._process()`` for
-                    # the only two entry shapes that exist (guarded by
-                    # the greps in the queue property suite) — a resume
-                    # record or an Event firing its callbacks — minus a
-                    # method call per event.  Each entry is marked
+                    # the only two entry shapes that exist (guarded by a
+                    # test in ``test_des_simulator``) — a resume record
+                    # or an Event firing its callbacks — minus a method
+                    # call per event.  Each entry is marked
                     # consumed *before* its effects run (``proc = None``
                     # / ``PROCESSED``), which is what lets the abort path
                     # below identify the unprocessed tail.
@@ -241,9 +237,15 @@ class Simulator:
                             for cb in callbacks:
                                 cb(entry)
                 del ready[:]
-                if not qlen():
+                if not heap:
                     break
-                self._ready_time = self._now = pop_batch(ready)
+                # Pop the next time batch: every entry sharing the
+                # minimal time, in seq order.
+                time, _seq, entry = heappop(heap)
+                ready.append(entry)
+                while heap and heap[0][0] == time:
+                    ready.append(heappop(heap)[2])
+                self._ready_time = self._now = time
         except BaseException:
             # Keep the unprocessed tail (a StopSimulation or process
             # exception aborts mid-batch; a later run()/step() resumes).
@@ -260,8 +262,7 @@ class Simulator:
     def _run_observed(self) -> None:
         """The same loop with per-event sanitizer/telemetry hooks."""
         ready = self._ready
-        queue = self._queue
-        pop_batch = queue.pop_batch
+        heap = self._heap
         san = self.sanitizer
         tel = self.telemetry
         i = 0
@@ -279,9 +280,13 @@ class Simulator:
                 else:
                     del ready[:]
                     i = 0
-                    if not len(queue):
+                    if not heap:
                         break
-                    self._ready_time = pop_batch(ready)
+                    time, _seq, entry = heappop(heap)
+                    ready.append(entry)
+                    while heap and heap[0][0] == time:
+                        ready.append(heappop(heap)[2])
+                    self._ready_time = time
         finally:
             del ready[:i]
 
@@ -347,6 +352,5 @@ class Simulator:
         raise StopSimulation(event)
 
     def __repr__(self):  # pragma: no cover - cosmetic
-        queued = len(self._ready) + len(self._queue)
-        return (f"<Simulator t={self._now:.6f} queued={queued} "
-                f"queue={self._queue.name}>")
+        queued = len(self._ready) + len(self._heap)
+        return f"<Simulator t={self._now:.6f} queued={queued}>"

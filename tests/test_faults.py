@@ -1,9 +1,6 @@
 """Fault injection: plans, determinism, recovery, and fault-free purity."""
 
-import hashlib
-
 import pytest
-from numpy.lib import recfunctions as rfn
 
 from repro.capture import trace_digest
 from repro.des import Simulator
@@ -13,6 +10,8 @@ from repro.harness.store import TraceKey
 from repro.net import EthernetBus, EthernetFrame, Nic
 from repro.programs import run_measured
 from repro.transport import HostStack
+
+from .golden import GOLDEN_FAULT_FREE, legacy_digest
 
 
 class TestFaultPlan:
@@ -78,32 +77,17 @@ class TestTraceKeyFaults:
                 != TraceKey.make("sor", faults="loss=0.01,seed=2").digest())
 
 
-#: Fault-free smoke traces, seed 0, digested over the original six
-#: columns (``retx`` excluded).  These digests predate the fault
-#: subsystem: they fail if fault plumbing perturbs a fault-free run.
-GOLDEN_FAULT_FREE = {
-    "sor": (108, "a1658e2d4009bb92"),
-    "2dfft": (8269, "3f50f5937a4aa800"),
-    "t2dfft": (5782, "e4206670c6a21cca"),
-    "seq": (7199, "f3b78c55969fcb07"),
-    "hist": (179, "5121643d758d0d4a"),
-    "airshed": (13950, "e1219dcee2241270"),
-}
-_ORIGINAL_COLS = ["time", "size", "src", "dst", "proto", "kind"]
-
-
-def _legacy_digest(trace) -> str:
-    packed = rfn.repack_fields(trace.data[_ORIGINAL_COLS])
-    return hashlib.sha256(packed.tobytes()).hexdigest()[:16]
-
-
 class TestFaultFreePurity:
+    """The goldens predate the fault subsystem: they fail if fault
+    plumbing perturbs a fault-free run."""
+
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_FAULT_FREE))
     def test_traces_byte_identical_to_pre_fault_goldens(self, name):
         packets, digest = GOLDEN_FAULT_FREE[name]
         trace = run_measured(name, scale="smoke", seed=0)
         assert len(trace) == packets
-        assert _legacy_digest(trace) == digest
+        assert legacy_digest(trace) == digest
         assert not trace.data["retx"].any()
         assert trace.retransmit_share() == 0.0
 

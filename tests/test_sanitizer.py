@@ -1,9 +1,7 @@
 """The runtime simulation sanitizer: violations caught, clean runs clean."""
 
-import hashlib
 from types import SimpleNamespace
 
-import numpy.lib.recfunctions as rfn
 import pytest
 
 from repro.des import Simulator
@@ -12,22 +10,7 @@ from repro.programs import run_measured
 from repro.simlint import SanitizerError, SimSanitizer
 from repro.transport import TcpSegment
 
-#: Fault-free smoke traces, seed 0 (the PR-2 goldens): sanitized runs
-#: must reproduce them byte-for-byte.
-GOLDEN_FAULT_FREE = {
-    "sor": (108, "a1658e2d4009bb92"),
-    "2dfft": (8269, "3f50f5937a4aa800"),
-    "t2dfft": (5782, "e4206670c6a21cca"),
-    "seq": (7199, "f3b78c55969fcb07"),
-    "hist": (179, "5121643d758d0d4a"),
-    "airshed": (13950, "e1219dcee2241270"),
-}
-_ORIGINAL_COLS = ["time", "size", "src", "dst", "proto", "kind"]
-
-
-def _legacy_digest(trace) -> str:
-    packed = rfn.repack_fields(trace.data[_ORIGINAL_COLS])
-    return hashlib.sha256(packed.tobytes()).hexdigest()[:16]
+from .golden import GOLDEN_FAULT_FREE, legacy_digest
 
 
 def _stub_pipe(sim=None, src=1, dst=2):
@@ -196,7 +179,7 @@ class TestSanitizedRunsAreByteIdentical:
         packets, digest = GOLDEN_FAULT_FREE[name]
         trace = run_measured(name, scale="smoke", seed=0, sanitize=True)
         assert len(trace) == packets
-        assert _legacy_digest(trace) == digest
+        assert legacy_digest(trace) == digest
 
     def test_faulted_run_sanitized(self):
         """Loss/queue/attempt faults exercise every conservation branch."""

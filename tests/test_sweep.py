@@ -49,9 +49,12 @@ class TestParseGrid:
         grid = parse_grid("program=sor,hist,sor")
         assert grid.values("program") == ["sor", "hist"]
 
-    def test_queue_axis(self):
-        grid = parse_grid("program=sor queue=heap,calendar")
-        assert grid.values("queue") == ["heap", "calendar"]
+    def test_route_axis(self):
+        from repro.pvm import Route
+
+        grid = parse_grid("program=sor route=direct,default,switched")
+        assert grid.values("route") == [Route.DIRECT, Route.DEFAULT,
+                                         "switched"]
 
     def test_faults_axis_semicolons(self):
         grid = parse_grid("program=sor faults=none;loss=0.01,seed=1")
@@ -60,8 +63,8 @@ class TestParseGrid:
         assert vals[1] == "loss=0.01,seed=1"
 
     def test_describe_round_trips(self):
-        spec = ("program=sor,hist scale=smoke seed=0,1 route=direct "
-                "queue=heap faults=none;loss=0.01,seed=1")
+        spec = ("program=sor,hist scale=smoke seed=0,1 "
+                "route=direct,switched faults=none;loss=0.01,seed=1")
         grid = parse_grid(spec)
         again = parse_grid(grid.describe())
         assert again.describe() == grid.describe()
@@ -78,6 +81,7 @@ class TestParseGrid:
         "program=sor program=hist",    # duplicate axis
         "program=sor faults=loss=banana",
         "program=sor queue=bogus",
+        "program=sor queue=heap",      # the event queue is not an axis
         "program=sor route=north",
         "program",                     # not axis=value
     ])
@@ -98,10 +102,12 @@ class TestExpandGrid:
         b = expand_grid(parse_grid("seed=1,0 scale=smoke program=hist,sor"))
         assert a == b
 
-    def test_queue_maps_to_cluster_kwargs(self):
-        items = expand_grid(parse_grid("program=sor queue=calendar"))
+    def test_route_maps_to_run_override(self):
+        from repro.pvm import Route
+
+        items = expand_grid(parse_grid("program=sor route=default"))
         (key, overrides), = items
-        assert overrides == {"cluster_kwargs": {"queue": "calendar"}}
+        assert overrides == {"route": Route.DEFAULT}
         assert dict(key.overrides)  # participates in the cache key
 
     def test_equivalent_faults_dedup_to_one_key(self):
@@ -185,7 +191,7 @@ class TestRunSweep:
 
 
 class TestManifest:
-    GRID = "program=sor,hist scale=smoke seed=0..1 queue=heap,calendar"
+    GRID = "program=sor,hist scale=smoke seed=0..1 route=direct,default"
 
     def test_serial_pooled_resumed_byte_identical(self, tmp_path):
         serial = run_sweep(self.GRID, jobs=1,
